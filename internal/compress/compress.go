@@ -9,6 +9,14 @@
 // decompression is performed by the hardware pipeline modeled in
 // internal/engine. The compressed representation here is exactly the
 // word stream that engine consumes.
+//
+// The DCT variants compress in two stages: a threshold-independent
+// forward transform into pooled scratch, then threshold, clamp and
+// RLE-encode. Compress runs both once. Algorithm 1 (FidelityAware)
+// runs the transform once and searches thresholds over the cached
+// coefficients, inverting them with the kernels Decompress uses. RLE
+// is lossless on the clamped coefficients, so skipping the stream round
+// trip changes no decision and no output byte.
 package compress
 
 import (
@@ -167,148 +175,234 @@ func Compress(f *wave.Fixed, opts Options) (*Compressed, error) {
 	case Dict:
 		return compressDict(f)
 	case DCTN:
-		return compressDCTN(f, opts)
+		return compressDCTN(f, opts), nil
 	case DCTW, IntDCTW:
-		if !dct.ValidWindow(opts.WindowSize) {
-			return nil, fmt.Errorf("compress: invalid window size %d for %v", opts.WindowSize, opts.Variant)
+		if err := checkWindow(opts); err != nil {
+			return nil, err
 		}
-		return compressWindowed(f, opts)
+		return compressWindowed(f, opts), nil
 	default:
 		return nil, fmt.Errorf("compress: unknown variant %v", opts.Variant)
 	}
 }
 
-// compressWindowed implements the DCT-W and int-DCT-W paths.
-func compressWindowed(f *wave.Fixed, opts Options) (*Compressed, error) {
-	ws := opts.WindowSize
-	c := &Compressed{
-		Name:       f.Name,
-		Variant:    opts.Variant,
-		WindowSize: ws,
-		SampleRate: f.SampleRate,
-		Samples:    f.Samples(),
-	}
-	thr := int32(math.Round(opts.threshold() * wave.FullScale))
+// Windowed compression (DCT-W, int-DCT-W) runs in two stages:
+//
+//   - transform: the forward coefficients of every DCT window, computed
+//     once into pooled scratch. They do not depend on the threshold.
+//   - encode(thr): threshold, clamp and RLE-encode those coefficients.
 
-	// The adaptive path needs flat runs common to the stream structure;
-	// each channel carries its own repeats (packed/ASIC layout).
-	for chIdx, samples := range [][]int16{f.I, f.Q} {
-		ch, err := compressChannel(samples, ws, thr, opts)
-		if err != nil {
-			return nil, fmt.Errorf("compress: %q channel %d: %w", f.Name, chIdx, err)
-		}
-		if chIdx == 0 {
-			c.I = *ch
-		} else {
-			c.Q = *ch
-		}
+func checkWindow(opts Options) error {
+	if !dct.ValidWindow(opts.WindowSize) {
+		return fmt.Errorf("compress: invalid window size %d for %v", opts.WindowSize, opts.Variant)
 	}
-	return c, nil
+	return nil
 }
 
-// compressChannel compresses one channel with the windowed transform.
-// The whole channel runs in fixed stack scratch (ws <= 32) with the
-// stream and WindowWords grown by amortized append — O(1) amortized
-// allocations per window.
-func compressChannel(samples []int16, ws int, thr int32, opts Options) (*Channel, error) {
-	ch := &Channel{}
-	n := len(samples)
-	numWin := (n + ws - 1) / ws
+// windowThreshold converts a relative threshold to the integer
+// coefficient magnitude below which windowed coefficients are zeroed.
+func windowThreshold(rel float64) int32 {
+	return int32(math.Round(rel * wave.FullScale))
+}
 
+// windowedTransform is the transform stage's output for one waveform.
+type windowedTransform struct {
+	f    *wave.Fixed
+	opts Options
+	ch   [2]channelCoeffs // I, Q
+}
+
+// channelCoeffs holds one channel's forward coefficients, window w at
+// coef[w*ws : (w+1)*ws]. Repeat windows (adaptive path) are not
+// transformed; their slots hold stale scratch.
+type channelCoeffs struct {
+	n, ws   int
+	variant Variant
+	coef    *[]int32 // pooled
+	repeat  []bool   // repeat windows; nil when not adaptive
+}
+
+// transformWindowed runs the transform stage over both channels. The
+// caller validates the variant and window size, and must call release.
+func transformWindowed(f *wave.Fixed, opts Options) windowedTransform {
+	t := windowedTransform{f: f, opts: opts}
+	for i, samples := range [2][]int16{f.I, f.Q} {
+		t.ch[i] = transformChannel(samples, opts)
+	}
+	return t
+}
+
+func (t *windowedTransform) release() {
+	for i := range t.ch {
+		int32Pool.put(t.ch[i].coef)
+	}
+}
+
+// encode runs the encode stage at integer threshold thr.
+func (t *windowedTransform) encode(thr int32) *Compressed {
+	c := &Compressed{
+		Name:       t.f.Name,
+		Variant:    t.opts.Variant,
+		WindowSize: t.opts.WindowSize,
+		SampleRate: t.f.SampleRate,
+		Samples:    t.f.Samples(),
+	}
+	t.ch[0].encode(&c.I, thr)
+	t.ch[1].encode(&c.Q, thr)
+	return c
+}
+
+// compressWindowed implements the DCT-W and int-DCT-W paths.
+func compressWindowed(f *wave.Fixed, opts Options) *Compressed {
+	t := transformWindowed(f, opts)
+	defer t.release()
+	return t.encode(windowThreshold(opts.threshold()))
+}
+
+func transformChannel(samples []int16, opts Options) channelCoeffs {
+	n, ws := len(samples), opts.WindowSize
+	cc := channelCoeffs{n: n, ws: ws, variant: opts.Variant}
+	numWin := cc.numWindows()
+	cc.coef = int32Pool.get(numWin * ws)
 	// Adaptive path: mark windows fully covered by a flat run that
 	// begins strictly before them, so the "hold previous sample"
-	// semantics reproduce the flat value (Section V-D).
-	var repeatWin []bool
+	// semantics reproduce the flat value (Section V-D). Each channel
+	// carries its own repeats (packed/ASIC layout).
 	if opts.Adaptive {
-		repeatWin = make([]bool, numWin)
-		markRepeatWindows(samples, ws, repeatWin)
+		cc.repeat = make([]bool, numWin)
+		markRepeatWindows(samples, ws, cc.repeat)
 	}
-
 	var winBuf [32]int16
 	win := winBuf[:ws]
-	ch.WindowWords = make([]int, 0, numWin)
-	w := 0
-	for w < numWin {
-		if repeatWin != nil && repeatWin[w] {
-			// Coalesce consecutive repeat windows into one run.
-			start := w
-			for w < numWin && repeatWin[w] {
-				w++
-			}
-			run := (w - start) * ws
-			if end := start*ws + run; end > n {
-				run -= end - n
-			}
-			before := len(ch.Stream)
-			ch.Stream = rle.AppendRepeatRun(ch.Stream, run)
-			ch.RepeatWords += len(ch.Stream) - before
-			ch.RepeatSamples += run
+	for w := 0; w < numWin; w++ {
+		if cc.repeat != nil && cc.repeat[w] {
 			continue
 		}
-		// DCT window; the final partial window is padded by holding the
-		// last sample (zero-padding would add a step discontinuity on
-		// channels that end slightly off zero, e.g. the DRAG derivative
-		// channel, and blow up the window's high-frequency content).
-		for i := 0; i < ws; i++ {
-			idx := w*ws + i
-			if idx < n {
+		// The final partial window is padded by holding the last sample
+		// (zero-padding would add a step discontinuity on channels that
+		// end slightly off zero, e.g. the DRAG derivative channel, and
+		// blow up the window's high-frequency content).
+		for i := range win {
+			if idx := w*ws + i; idx < n {
 				win[i] = samples[idx]
 			} else {
 				win[i] = samples[n-1]
 			}
 		}
-		before := len(ch.Stream)
-		stream, err := appendDCTWindow(ch.Stream, win, ws, thr, opts.Variant)
-		if err != nil {
-			return nil, err
-		}
-		ch.Stream = stream
-		ch.WindowWords = append(ch.WindowWords, len(stream)-before)
-		w++
+		forwardWindow(cc.window(w), win, cc.variant)
 	}
-	return ch, nil
+	return cc
 }
 
-// appendDCTWindow transforms, thresholds and RLE-encodes one window,
-// appending the encoding to dst. All transform scratch lives in fixed
-// stack buffers, so the only heap traffic is dst's amortized growth.
-func appendDCTWindow(dst []rle.Word, win []int16, ws int, thr int32, v Variant) ([]rle.Word, error) {
+func (cc *channelCoeffs) numWindows() int { return (cc.n + cc.ws - 1) / cc.ws }
+
+func (cc *channelCoeffs) window(w int) []int32 {
+	return (*cc.coef)[w*cc.ws : (w+1)*cc.ws]
+}
+
+// repeatRun reports the samples covered by the run of consecutive
+// repeat windows starting at window w (0 if w is a DCT window) and the
+// first window after the run. Consecutive repeat windows coalesce into
+// one run.
+func (cc *channelCoeffs) repeatRun(w int) (run, next int) {
+	if cc.repeat == nil || !cc.repeat[w] {
+		return 0, w
+	}
+	start := w
+	for w < len(cc.repeat) && cc.repeat[w] {
+		w++
+	}
+	run = (w - start) * cc.ws
+	if end := start*cc.ws + run; end > cc.n {
+		run -= end - cc.n
+	}
+	return run, w
+}
+
+// encode is the encode stage for one channel: each DCT window is
+// thresholded, clamped and RLE-encoded, repeat runs become repeat
+// codewords. The stream and WindowWords grow by amortized append.
+func (cc *channelCoeffs) encode(ch *Channel, thr int32) {
+	numWin := cc.numWindows()
+	ch.WindowWords = make([]int, 0, numWin)
 	var coefBuf [32]int16
-	coeffs := coefBuf[:ws]
-	switch v {
-	case IntDCTW:
+	coeffs := coefBuf[:cc.ws]
+	for w := 0; w < numWin; {
+		if run, next := cc.repeatRun(w); run > 0 {
+			before := len(ch.Stream)
+			ch.Stream = rle.AppendRepeatRun(ch.Stream, run)
+			ch.RepeatWords += len(ch.Stream) - before
+			ch.RepeatSamples += run
+			w = next
+			continue
+		}
+		thresholdWindow(coeffs, cc.window(w), thr)
+		before := len(ch.Stream)
+		ch.Stream = rle.AppendWindow(ch.Stream, coeffs)
+		ch.WindowWords = append(ch.WindowWords, len(ch.Stream)-before)
+		w++
+	}
+}
+
+// forwardWindow writes the forward coefficients of one window, in the
+// stored integer units, to dst. All scratch lives in fixed stack
+// buffers.
+func forwardWindow(dst []int32, win []int16, v Variant) {
+	ws := len(win)
+	if v == IntDCTW {
+		dct.IntForwardInto(dst, win, ws)
+		return
+	}
+	// DCTW: float DCT with fixed scaling sqrt(ws), which puts the stored
+	// coefficients in the same units as the integer path (so the same
+	// threshold applies) and makes a unit-amplitude window fit 16 bits.
+	var xfBuf, yfBuf [32]float64
+	xf, yf := xfBuf[:ws], yfBuf[:ws]
+	for i, s := range win {
+		xf[i] = float64(s)
+	}
+	dct.ForwardInto(yf, xf)
+	scale := math.Sqrt(float64(ws))
+	for k, c := range yf {
+		dst[k] = int32(math.Round(c / scale))
+	}
+}
+
+// thresholdWindow zeroes the coefficients below thr in magnitude and
+// clamps the rest to the stored 16-bit range.
+func thresholdWindow(dst []int16, coef []int32, thr int32) {
+	for k, c := range coef {
+		if abs32(c) < thr {
+			c = 0
+		}
+		dst[k] = clampCoeff(c)
+	}
+}
+
+// inverseWindow reconstructs one window's samples from its stored
+// coefficients: the integer IDCT the hardware runs for IntDCTW, the
+// float inverse with the sqrt(ws) scale restored for DCTW.
+func inverseWindow(dst, coeffs []int16, v Variant) {
+	ws := len(coeffs)
+	if v == IntDCTW {
 		var yBuf [32]int32
 		y := yBuf[:ws]
-		dct.IntForwardInto(y, win, ws)
-		for k, c := range y {
-			if abs32(c) < thr {
-				c = 0
-			}
-			coeffs[k] = clampCoeff(c)
+		for k, c := range coeffs {
+			y[k] = int32(c)
 		}
-	case DCTW:
-		// Float DCT with fixed scaling sqrt(ws): coefficients of a
-		// unit-amplitude window fit 16 bits exactly.
-		var xfBuf, yfBuf [32]float64
-		xf, yf := xfBuf[:ws], yfBuf[:ws]
-		for i, s := range win {
-			xf[i] = float64(s)
-		}
-		dct.ForwardInto(yf, xf)
-		// Fixed scaling sqrt(ws) puts the stored coefficients in the
-		// same units as the integer path, so the same threshold applies.
-		scale := math.Sqrt(float64(ws))
-		for k, c := range yf {
-			q := int32(math.Round(c / scale))
-			if abs32(q) < thr {
-				q = 0
-			}
-			coeffs[k] = clampCoeff(q)
-		}
-	default:
-		return dst, fmt.Errorf("appendDCTWindow: bad variant %v", v)
+		dct.IntInverseInto(dst, y, ws)
+		return
 	}
-	return rle.AppendWindow(dst, coeffs), nil
+	var yfBuf, xfBuf [32]float64
+	yf, xf := yfBuf[:ws], xfBuf[:ws]
+	scale := math.Sqrt(float64(ws))
+	for k, c := range coeffs {
+		yf[k] = float64(c) * scale
+	}
+	dct.InverseInto(xf, yf)
+	for k, x := range xf {
+		dst[k] = clamp16(int64(math.Round(x)))
+	}
 }
 
 // Decompress reconstructs the waveform. For IntDCTW this is exactly the
@@ -368,10 +462,7 @@ func decompressChannel(ch *Channel, ws, n int, v Variant) ([]int16, error) {
 	// window (trimmed before return), so decoding never regrows out.
 	out := make([]int16, 0, n+ws-1)
 	var last int16
-	var yBuf [32]int32
-	var sBuf [32]int16
-	var yfBuf, xfBuf [32]float64
-	scale := math.Sqrt(float64(ws))
+	var coefBuf, sBuf [32]int16
 	i := 0
 	for i < len(ch.Stream) {
 		if k, run := rle.Decode(ch.Stream[i]); k == rle.KindRepeat {
@@ -387,9 +478,9 @@ func decompressChannel(ch *Channel, ws, n int, v Variant) ([]int16, error) {
 		}
 		// Decode one DCT window straight into the coefficient buffer:
 		// words until ws samples are covered.
-		y := yBuf[:ws]
-		for k := range y {
-			y[k] = 0
+		coeffs := coefBuf[:ws]
+		for k := range coeffs {
+			coeffs[k] = 0
 		}
 		start := i
 		covered := 0
@@ -401,7 +492,7 @@ func decompressChannel(ch *Channel, ws, n int, v Variant) ([]int16, error) {
 			k, run := rle.Decode(w)
 			switch k {
 			case rle.KindSample:
-				y[covered] = int32(rle.SampleValue(w))
+				coeffs[covered] = rle.SampleValue(w)
 				covered++
 			case rle.KindZeroRun:
 				covered += run
@@ -414,19 +505,7 @@ func decompressChannel(ch *Channel, ws, n int, v Variant) ([]int16, error) {
 			return nil, fmt.Errorf("rle: window decodes to %d samples, want %d", covered, ws)
 		}
 		samples := sBuf[:ws]
-		switch v {
-		case IntDCTW:
-			dct.IntInverseInto(samples, y, ws)
-		case DCTW:
-			yf, xf := yfBuf[:ws], xfBuf[:ws]
-			for k, cf := range y {
-				yf[k] = float64(cf) * scale
-			}
-			dct.InverseInto(xf, yf)
-			for k, x := range xf {
-				samples[k] = clamp16(int64(math.Round(x)))
-			}
-		}
+		inverseWindow(samples, coeffs, v)
 		out = append(out, samples...)
 		if len(out) > n {
 			out = out[:n] // drop zero padding of the final window

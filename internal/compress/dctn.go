@@ -20,93 +20,124 @@ import (
 
 const dctnSideWords = 2 // float32 scale factor per channel
 
-func compressDCTN(f *wave.Fixed, opts Options) (*Compressed, error) {
-	c := &Compressed{
-		Name:       f.Name,
-		Variant:    DCTN,
-		SampleRate: f.SampleRate,
-		Samples:    f.Samples(),
-	}
-	thr := opts.threshold()
-	for chIdx, samples := range [][]int16{f.I, f.Q} {
-		ch, err := compressDCTNChannel(samples, thr)
-		if err != nil {
-			return nil, fmt.Errorf("compress: %q DCT-N channel %d: %w", f.Name, chIdx, err)
-		}
-		if chIdx == 0 {
-			c.I = *ch
-		} else {
-			c.Q = *ch
-		}
-	}
-	return c, nil
+// DCT-N has the same two stages as the windowed variants: a
+// threshold-independent forward transform per channel, then
+// threshold, quantize and RLE-encode. Unlike a window's, the quantizer
+// scale depends on which coefficients survive the threshold.
+
+func compressDCTN(f *wave.Fixed, opts Options) *Compressed {
+	t := transformDCTN(f)
+	defer t.release()
+	return t.encode(opts.threshold())
 }
 
-func compressDCTNChannel(samples []int16, thr float64) (*Channel, error) {
-	n := len(samples)
-	xf := getFloats(n)
-	defer putFloats(xf)
-	y := getFloats(n)
-	defer putFloats(y)
-	for i, s := range samples {
-		xf[i] = float64(s)
-	}
-	// Whole-waveform transform: the plan-cached O(n log n) path — the
-	// dominant term of a DCT-N cold compile.
-	dct.ForwardInto(y, xf)
+// dctnTransform is DCT-N's transform stage: each channel's
+// whole-waveform DCT coefficients, in pooled scratch.
+type dctnTransform struct {
+	f *wave.Fixed
+	y [2]*[]float64 // I, Q
+}
 
-	// Threshold at the same absolute coefficient scale the WS=16
-	// windowed variants use (orthonormal coefficients scale as
-	// sqrt(ws) times the stored integer value). A dropped DCT-N
-	// coefficient then carries the same energy as a dropped windowed
-	// one but spreads its error over the whole waveform, which is why
-	// DCT-N has both the best compression and the lowest MSE (Fig. 7).
+func transformDCTN(f *wave.Fixed) dctnTransform {
+	t := dctnTransform{f: f}
+	for i, samples := range [2][]int16{f.I, f.Q} {
+		xf := floatPool.get(len(samples))
+		for k, s := range samples {
+			(*xf)[k] = float64(s)
+		}
+		// Whole-waveform transform: the plan-cached O(n log n) path —
+		// the dominant term of a DCT-N cold compile.
+		t.y[i] = floatPool.get(len(samples))
+		dct.ForwardInto(*t.y[i], *xf)
+		floatPool.put(xf)
+	}
+	return t
+}
+
+func (t *dctnTransform) release() {
+	for _, y := range t.y {
+		floatPool.put(y)
+	}
+}
+
+// encode thresholds, quantizes and RLE-encodes both channels at the
+// relative threshold thr.
+func (t *dctnTransform) encode(thr float64) *Compressed {
+	c := &Compressed{
+		Name:       t.f.Name,
+		Variant:    DCTN,
+		SampleRate: t.f.SampleRate,
+		Samples:    t.f.Samples(),
+	}
+	for i, ch := range [2]*Channel{&c.I, &c.Q} {
+		y := *t.y[i]
+		coeffs := int16Pool.get(len(y))
+		ch.Scale = quantizeDCTN(*coeffs, y, thr)
+		ch.Stream = rle.EncodeWindow(*coeffs)
+		ch.WindowWords = []int{len(ch.Stream)}
+		ch.BaselineWords = len(ch.Stream) + dctnSideWords
+		int16Pool.put(coeffs)
+	}
+	return c
+}
+
+// quantizeDCTN zeroes the coefficients of y below the relative
+// threshold thr and quantizes the survivors into coeffs with one scale
+// factor, which it returns.
+//
+// The threshold sits at the same absolute coefficient scale the WS=16
+// windowed variants use (orthonormal coefficients scale as sqrt(ws)
+// times the stored integer value). A dropped DCT-N coefficient then
+// carries the same energy as a dropped windowed one but spreads its
+// error over the whole waveform, which is why DCT-N has both the best
+// compression and the lowest MSE (Fig. 7).
+func quantizeDCTN(coeffs []int16, y []float64, thr float64) float64 {
 	t := thr * wave.FullScale * 4
 	var maxAbs float64
-	for k := range y {
-		if math.Abs(y[k]) < t {
-			y[k] = 0
-		} else if a := math.Abs(y[k]); a > maxAbs {
+	for _, v := range y {
+		if a := math.Abs(v); a >= t && a > maxAbs {
 			maxAbs = a
 		}
 	}
-	coeffs := getInt16s(n)
-	defer putInt16s(coeffs)
 	scale := maxAbs / wave.FullScale
 	if scale == 0 {
 		scale = 1
 	}
-	for k := range y {
-		coeffs[k] = clampCoeff(int32(math.Round(y[k] / scale)))
+	for k, v := range y {
+		if math.Abs(v) < t {
+			coeffs[k] = 0
+		} else {
+			coeffs[k] = clampCoeff(int32(math.Round(v / scale)))
+		}
 	}
-	enc := rle.EncodeWindow(coeffs)
-	return &Channel{
-		Stream:        enc,
-		WindowWords:   []int{len(enc)},
-		Scale:         scale,
-		BaselineWords: len(enc) + dctnSideWords,
-	}, nil
+	return scale
+}
+
+// inverseDCTN reconstructs a channel from its quantized coefficients
+// and scale; yf and xf are scratch of len(coeffs).
+func inverseDCTN(dst, coeffs []int16, scale float64, yf, xf []float64) {
+	for k, q := range coeffs {
+		yf[k] = float64(q) * scale
+	}
+	dct.InverseInto(xf, yf)
+	for i, x := range xf {
+		dst[i] = clamp16(int64(math.Round(x)))
+	}
 }
 
 func decompressDCTN(c *Compressed) (*wave.Fixed, error) {
 	out := &wave.Fixed{Name: c.Name, SampleRate: c.SampleRate}
-	yf := getFloats(c.Samples)
-	defer putFloats(yf)
-	xf := getFloats(c.Samples)
-	defer putFloats(xf)
+	yf := floatPool.get(c.Samples)
+	defer floatPool.put(yf)
+	xf := floatPool.get(c.Samples)
+	defer floatPool.put(xf)
 	for chIdx, ch := range []*Channel{&c.I, &c.Q} {
 		coeffs, err := rle.DecodeWindow(ch.Stream, c.Samples)
 		if err != nil {
 			return nil, fmt.Errorf("decompress %q DCT-N channel %d: %w", c.Name, chIdx, err)
 		}
-		for k, q := range coeffs {
-			yf[k] = float64(q) * ch.Scale
-		}
-		dct.InverseInto(xf, yf)
 		samples := make([]int16, c.Samples)
-		for i, x := range xf {
-			samples[i] = clamp16(int64(math.Round(x)))
-		}
+		inverseDCTN(samples, coeffs, ch.Scale, *yf, *xf)
 		if chIdx == 0 {
 			out.I = samples
 		} else {

@@ -48,17 +48,8 @@ func CompressOverlapped(f *wave.Fixed, ws int, threshold float64) (*Compressed, 
 		Samples:    f.Samples(),
 		Overlapped: true,
 	}
-	for chIdx, samples := range [][]int16{f.I, f.Q} {
-		ch, err := compressOverlappedChannel(samples, ws, thr)
-		if err != nil {
-			return nil, fmt.Errorf("compress: %q channel %d: %w", f.Name, chIdx, err)
-		}
-		if chIdx == 0 {
-			c.I = *ch
-		} else {
-			c.Q = *ch
-		}
-	}
+	compressOverlappedChannel(&c.I, f.I, ws, thr)
+	compressOverlappedChannel(&c.Q, f.Q, ws, thr)
 	return c, nil
 }
 
@@ -70,13 +61,13 @@ func overlapWindowCount(n, ws int) int {
 	return (n-ws+stride-1)/stride + 1
 }
 
-func compressOverlappedChannel(samples []int16, ws int, thr int32) (*Channel, error) {
-	ch := &Channel{}
+func compressOverlappedChannel(ch *Channel, samples []int16, ws int, thr int32) {
 	n := len(samples)
 	numWin := overlapWindowCount(n, ws)
 	stride := overlapStride(ws)
-	var winBuf [32]int16
-	win := winBuf[:ws]
+	var winBuf, coefBuf [32]int16
+	var yBuf [32]int32
+	win, coeffs, y := winBuf[:ws], coefBuf[:ws], yBuf[:ws]
 	ch.WindowWords = make([]int, 0, numWin)
 	for w := 0; w < numWin; w++ {
 		base := w * stride
@@ -88,15 +79,12 @@ func compressOverlappedChannel(samples []int16, ws int, thr int32) (*Channel, er
 				win[i] = samples[n-1] // hold-last padding
 			}
 		}
+		dct.IntForwardInto(y, win, ws)
+		thresholdWindow(coeffs, y, thr)
 		before := len(ch.Stream)
-		stream, err := appendDCTWindow(ch.Stream, win, ws, thr, IntDCTW)
-		if err != nil {
-			return nil, err
-		}
-		ch.Stream = stream
-		ch.WindowWords = append(ch.WindowWords, len(stream)-before)
+		ch.Stream = rle.AppendWindow(ch.Stream, coeffs)
+		ch.WindowWords = append(ch.WindowWords, len(ch.Stream)-before)
 	}
-	return ch, nil
 }
 
 // decompressOverlappedChannel reconstructs with a k/4 crossfade in the
@@ -175,7 +163,7 @@ func BoundaryMSE(orig, rec *wave.Fixed, stride int) float64 {
 		o, r := ch[0], ch[1]
 		for b := stride; b < len(o); b += stride {
 			for _, idx := range []int{b - 1, b} {
-				d := float64(o[idx]-r[idx]) / wave.FullScale
+				d := float64(int32(o[idx])-int32(r[idx])) / wave.FullScale
 				sum += d * d
 				count++
 			}

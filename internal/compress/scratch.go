@@ -2,35 +2,33 @@ package compress
 
 import "sync"
 
-// Pooled scratch for the whole-waveform (DCT-N) paths. Windowed
-// transforms work in fixed 32-element stack buffers (ws <= 32), but the
-// DCT-N encoder and decoder need float and coefficient arrays as long
-// as the waveform itself; pooling them lets parallel compile workers
-// reuse scratch through the per-P sync.Pool caches instead of
-// contending on the allocator.
+// Pooled scratch for the per-waveform buffers: windowed-transform
+// coefficients and reconstructions, and the DCT-N float and coefficient
+// arrays. All of them are as long as the waveform itself; pooling them
+// lets parallel compile workers reuse scratch through the per-P
+// sync.Pool caches instead of contending on the allocator. Per-window
+// scratch (ws <= 32) lives in fixed stack buffers instead.
 
-var floatPool sync.Pool // *[]float64
+// slicePool hands out reusable slices of T. get and put exchange the
+// *[]T itself, so a steady-state get/put pair allocates nothing.
+type slicePool[T any] struct{ p sync.Pool }
 
-// getFloats returns a length-n float64 scratch slice (contents
-// unspecified — callers overwrite every element).
-func getFloats(n int) []float64 {
-	if p, ok := floatPool.Get().(*[]float64); ok && cap(*p) >= n {
-		return (*p)[:n]
+// get returns a pooled buffer of length n with unspecified contents;
+// callers overwrite every element they read.
+func (sp *slicePool[T]) get(n int) *[]T {
+	if b, ok := sp.p.Get().(*[]T); ok && cap(*b) >= n {
+		*b = (*b)[:n]
+		return b
 	}
-	return make([]float64, n)
+	s := make([]T, n)
+	return &s
 }
 
-func putFloats(s []float64) { floatPool.Put(&s) }
+// put returns a buffer obtained from get.
+func (sp *slicePool[T]) put(b *[]T) { sp.p.Put(b) }
 
-var int16Pool sync.Pool // *[]int16
-
-// getInt16s returns a length-n int16 scratch slice with unspecified
-// contents.
-func getInt16s(n int) []int16 {
-	if p, ok := int16Pool.Get().(*[]int16); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]int16, n)
-}
-
-func putInt16s(s []int16) { int16Pool.Put(&s) }
+var (
+	floatPool slicePool[float64]
+	int16Pool slicePool[int16]
+	int32Pool slicePool[int32]
+)

@@ -209,13 +209,15 @@ func TestCompressDeterministicUnderPoolReuse(t *testing.T) {
 
 func TestConcurrentCompressDecompressPoolStress(t *testing.T) {
 	// Hammer the pooled hot paths from many goroutines (run under -race
-	// in CI): each worker owns its input, compresses, decompresses, and
-	// checks the result against a serially computed reference.
+	// in CI): each worker owns its input, compresses, decompresses and
+	// runs Algorithm 1, and checks the results against serially computed
+	// references.
 	rng := rand.New(rand.NewSource(34))
 	type job struct {
-		fx   *wave.Fixed
-		opts Options
-		want *wave.Fixed
+		fx       *wave.Fixed
+		opts     Options
+		want     *wave.Fixed
+		wantTune *Result // FidelityAware at 1e-6
 	}
 	var jobs []job
 	for i, opts := range []Options{
@@ -233,7 +235,11 @@ func TestConcurrentCompressDecompressPoolStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, job{fx: fx, opts: opts, want: want})
+		tuned, err := FidelityAware(fx, opts, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job{fx: fx, opts: opts, want: want, wantTune: tuned})
 	}
 	const workers = 8
 	var wg sync.WaitGroup
@@ -255,6 +261,11 @@ func TestConcurrentCompressDecompressPoolStress(t *testing.T) {
 				}
 				if !reflect.DeepEqual(d.I, j.want.I) || !reflect.DeepEqual(d.Q, j.want.Q) {
 					t.Errorf("%v: concurrent round trip differs from serial reference", j.opts.Variant)
+					return
+				}
+				tuned, err := FidelityAware(j.fx, j.opts, 1e-6)
+				if err != nil || !reflect.DeepEqual(tuned, j.wantTune) {
+					t.Errorf("%v: concurrent FidelityAware differs from serial reference (err %v)", j.opts.Variant, err)
 					return
 				}
 			}

@@ -12,7 +12,9 @@
 //
 // Performance notes. The four integer transform matrices are built once
 // at package init as flattened row-major tables, so the per-window
-// kernels (IntForwardInto, IntInverseInto) never allocate. The float
+// kernels (IntForwardInto, IntInverseInto) never allocate. The forward
+// kernel evaluates the matrix product as HEVC's partial butterfly
+// (exact int64 arithmetic, bit-identical to the dense product). The float
 // DCT is served by cached Plans (see plan.go): an O(n^2) cached-cosine
 // table for short windows and an O(n log n) FFT-based evaluation
 // (Makhoul's construction, Bluestein for non-power-of-two lengths) for
@@ -171,6 +173,18 @@ func init() {
 		}
 		flatMatrices[idx] = m
 	}
+	for j := range oddRows4 {
+		copyOddRow(oddRows4[j][:], 4, j)
+	}
+	for j := range oddRows8 {
+		copyOddRow(oddRows8[j][:], 8, j)
+	}
+	for j := range oddRows16 {
+		copyOddRow(oddRows16[j][:], 16, j)
+	}
+	for j := range oddRows32 {
+		copyOddRow(oddRows32[j][:], 32, j)
+	}
 }
 
 // MatrixFlat returns the N-point HEVC integer transform matrix (N = 4,
@@ -253,27 +267,121 @@ func IntForward(x []int16, ws int) []int32 {
 
 // IntForwardInto is IntForward writing into dst (len ws). It performs
 // no allocations.
+//
+// The product is evaluated as HEVC's partial butterfly rather than a
+// dense matrix-vector product. Row k of the N-point matrix is even or
+// odd about the window centre as k is even or odd, so with
+// E[n] = x[n]+x[N-1-n] and O[n] = x[n]-x[N-1-n] the odd rows are N/2-
+// term dot products with O, and the even rows are exactly the N/2-point
+// transform of E (row 2k of the N-point matrix, over its first half,
+// is row k of the N/2-point one). Recursing down to N = 4 takes ws=16
+// from 256 multiplies to 86. Every partial sum is an exact int64, so
+// the sum reaching the single rounding shift is the dense sum itself
+// and the output is bit-identical to the matrix definition.
 func IntForwardInto(dst []int32, x []int16, ws int) {
-	m := MatrixFlat(ws)
+	if !ValidWindow(ws) {
+		panic(fmt.Sprintf("dct: unsupported window size %d", ws))
+	}
 	if len(x) != ws {
 		panic(fmt.Sprintf("dct: IntForward window %d, got %d samples", ws, len(x)))
 	}
 	if len(dst) != ws {
 		panic(fmt.Sprintf("dct: IntForwardInto dst length %d, want %d", len(dst), ws))
 	}
+	var in, acc [32]int64
+	for i, s := range x {
+		in[i] = int64(s)
+	}
+	switch ws {
+	case 4:
+		butterfly4((*[4]int64)(acc[:4]), (*[4]int64)(in[:4]))
+	case 8:
+		butterfly8((*[8]int64)(acc[:8]), (*[8]int64)(in[:8]))
+	case 16:
+		butterfly16((*[16]int64)(acc[:16]), (*[16]int64)(in[:16]))
+	case 32:
+		butterfly32((*[32]int64)(acc[:32]), (*[32]int64)(in[:32]))
+	}
 	sf := ForwardShift(ws)
 	rnd := int64(1) << (sf - 1)
-	for k := 0; k < ws; k++ {
-		var acc int64
-		row := m[k*ws : (k+1)*ws]
-		for n := 0; n < ws; n++ {
-			acc += int64(row[n]) * int64(x[n])
-		}
-		if acc >= 0 {
-			dst[k] = int32((acc + rnd) >> sf)
+	for k, a := range acc[:ws] {
+		if a >= 0 {
+			dst[k] = int32((a + rnd) >> sf)
 		} else {
-			dst[k] = int32(-((-acc + rnd) >> sf))
+			dst[k] = int32(-((-a + rnd) >> sf))
 		}
+	}
+}
+
+// oddRows4..oddRows32 hold the odd rows of each integer matrix over its
+// first half: oddRowsN[j][n] = M_N[2j+1][n], n < N/2. Built at init
+// from the flattened matrices, so the butterfly and the dense
+// definition read the same constants.
+var (
+	oddRows4  [2][2]int64
+	oddRows8  [4][4]int64
+	oddRows16 [8][8]int64
+	oddRows32 [16][16]int64
+)
+
+func copyOddRow(dst []int64, ws, j int) {
+	row := MatrixFlat(ws)[(2*j+1)*ws:]
+	for n := range dst {
+		dst[n] = int64(row[n])
+	}
+}
+
+// butterfly4 writes the unshifted 4-point integer transform of x to
+// y. Rows 0 and 2 of the HEVC 4-point matrix are +-64 throughout.
+func butterfly4(y, x *[4]int64) {
+	e0, e1 := x[0]+x[3], x[1]+x[2]
+	o0, o1 := x[0]-x[3], x[1]-x[2]
+	y[0] = 64 * (e0 + e1)
+	y[2] = 64 * (e0 - e1)
+	y[1] = oddRows4[0][0]*o0 + oddRows4[0][1]*o1
+	y[3] = oddRows4[1][0]*o0 + oddRows4[1][1]*o1
+}
+
+func butterfly8(y, x *[8]int64) {
+	var e, o, ye [4]int64
+	for n := range e {
+		e[n], o[n] = x[n]+x[7-n], x[n]-x[7-n]
+	}
+	butterfly4(&ye, &e)
+	for k := range ye {
+		r := &oddRows8[k]
+		y[2*k] = ye[k]
+		y[2*k+1] = r[0]*o[0] + r[1]*o[1] + r[2]*o[2] + r[3]*o[3]
+	}
+}
+
+func butterfly16(y, x *[16]int64) {
+	var e, o, ye [8]int64
+	for n := range e {
+		e[n], o[n] = x[n]+x[15-n], x[n]-x[15-n]
+	}
+	butterfly8(&ye, &e)
+	for k := range ye {
+		r := &oddRows16[k]
+		y[2*k] = ye[k]
+		y[2*k+1] = r[0]*o[0] + r[1]*o[1] + r[2]*o[2] + r[3]*o[3] +
+			r[4]*o[4] + r[5]*o[5] + r[6]*o[6] + r[7]*o[7]
+	}
+}
+
+func butterfly32(y, x *[32]int64) {
+	var e, o, ye [16]int64
+	for n := range e {
+		e[n], o[n] = x[n]+x[31-n], x[n]-x[31-n]
+	}
+	butterfly16(&ye, &e)
+	for k := range ye {
+		r := &oddRows32[k]
+		y[2*k] = ye[k]
+		y[2*k+1] = r[0]*o[0] + r[1]*o[1] + r[2]*o[2] + r[3]*o[3] +
+			r[4]*o[4] + r[5]*o[5] + r[6]*o[6] + r[7]*o[7] +
+			r[8]*o[8] + r[9]*o[9] + r[10]*o[10] + r[11]*o[11] +
+			r[12]*o[12] + r[13]*o[13] + r[14]*o[14] + r[15]*o[15]
 	}
 }
 

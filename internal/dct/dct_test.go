@@ -338,3 +338,69 @@ func abs(x int) int {
 	}
 	return x
 }
+
+// denseIntForward is the matrix definition of IntForward, a dense
+// O(ws^2) product with one rounding shift. It is the oracle for the
+// partial-butterfly kernel.
+func denseIntForward(x []int16, ws int) []int32 {
+	m := MatrixFlat(ws)
+	sf := ForwardShift(ws)
+	rnd := int64(1) << (sf - 1)
+	y := make([]int32, ws)
+	for k := 0; k < ws; k++ {
+		var acc int64
+		for n := 0; n < ws; n++ {
+			acc += int64(m[k*ws+n]) * int64(x[n])
+		}
+		if acc >= 0 {
+			y[k] = int32((acc + rnd) >> sf)
+		} else {
+			y[k] = int32(-((-acc + rnd) >> sf))
+		}
+	}
+	return y
+}
+
+func TestIntForwardButterflyMatchesDense(t *testing.T) {
+	// Seeded full-range windows plus the +-32767 extremes (constant,
+	// alternating, and a step), at every window size.
+	rng := rand.New(rand.NewSource(41))
+	for _, ws := range []int{4, 8, 16, 32} {
+		var windows [][]int16
+		for trial := 0; trial < 2000; trial++ {
+			x := make([]int16, ws)
+			for i := range x {
+				x[i] = int16(rng.Intn(2*32767+1) - 32767)
+			}
+			windows = append(windows, x)
+		}
+		for _, pattern := range []func(i int) int16{
+			func(int) int16 { return 32767 },
+			func(int) int16 { return -32767 },
+			func(i int) int16 { return int16(32767 * (1 - 2*(i%2))) },
+			func(i int) int16 {
+				if i < ws/2 {
+					return 32767
+				}
+				return -32767
+			},
+			func(i int) int16 { return int16(32767 * (1 - 2*((i/2)%2))) },
+		} {
+			x := make([]int16, ws)
+			for i := range x {
+				x[i] = pattern(i)
+			}
+			windows = append(windows, x)
+		}
+		got := make([]int32, ws)
+		for _, x := range windows {
+			IntForwardInto(got, x, ws)
+			want := denseIntForward(x, ws)
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("ws=%d x=%v: y[%d] = %d, dense %d", ws, x, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}

@@ -176,29 +176,32 @@ func MSE(a, b *Waveform) float64 {
 }
 
 // MSEFixed is MSE on fixed-point waveforms, in dimensionless amplitude
-// units (i.e. the int16 difference scaled back by FullScale).
+// units (i.e. the sample difference scaled back by FullScale). The
+// difference is taken in int32: a full-swing error (32767 vs -32767)
+// does not fit int16.
 func MSEFixed(a, b *Fixed) float64 {
 	if len(a.I) != len(b.I) {
 		panic(fmt.Sprintf("wave: MSEFixed length mismatch %d vs %d", len(a.I), len(b.I)))
 	}
 	var sum float64
 	for i := range a.I {
-		di := float64(a.I[i]-b.I[i]) / FullScale
-		dq := float64(a.Q[i]-b.Q[i]) / FullScale
+		di := float64(int32(a.I[i])-int32(b.I[i])) / FullScale
+		dq := float64(int32(a.Q[i])-int32(b.Q[i])) / FullScale
 		sum += di*di + dq*dq
 	}
 	return sum / float64(2*len(a.I))
 }
 
 // MaxAbsError returns the maximum per-sample amplitude error between two
-// fixed-point waveforms, in dimensionless units.
+// fixed-point waveforms, in dimensionless units. Like MSEFixed it
+// subtracts in int32.
 func MaxAbsError(a, b *Fixed) float64 {
 	var m float64
 	for i := range a.I {
-		if d := math.Abs(float64(a.I[i]-b.I[i]) / FullScale); d > m {
+		if d := math.Abs(float64(int32(a.I[i])-int32(b.I[i])) / FullScale); d > m {
 			m = d
 		}
-		if d := math.Abs(float64(a.Q[i]-b.Q[i]) / FullScale); d > m {
+		if d := math.Abs(float64(int32(a.Q[i])-int32(b.Q[i])) / FullScale); d > m {
 			m = d
 		}
 	}

@@ -244,3 +244,21 @@ func abs(x int) int {
 	}
 	return x
 }
+
+func TestFixedErrorsDoNotWrapOnFullSwing(t *testing.T) {
+	// 32767 - (-32767) overflows int16; subtracted there it wraps to -2,
+	// and a full-swing error reads as MSE 1.9e-9 instead of 2.
+	cases := []struct{ a, b *Fixed }{
+		{&Fixed{I: []int16{32767}, Q: []int16{0}}, &Fixed{I: []int16{-32767}, Q: []int16{0}}},
+		{&Fixed{I: []int16{0}, Q: []int16{-32767}}, &Fixed{I: []int16{0}, Q: []int16{32767}}},
+	}
+	for i, c := range cases {
+		// Error 2 (full scale each way) on one of two channels.
+		if got := MSEFixed(c.a, c.b); got != 2 {
+			t.Errorf("case %d: MSEFixed = %g, want 2", i, got)
+		}
+		if got := MaxAbsError(c.a, c.b); got != 2 {
+			t.Errorf("case %d: MaxAbsError = %g, want 2", i, got)
+		}
+	}
+}
